@@ -3,8 +3,10 @@
 //! [`simulate`] wires a [`ContactTrace`], a [`Workload`] and a
 //! [`SimConfig`] into the `dtn-sim` engine and runs to completion:
 //!
-//! * every contact becomes a `Contact` event at its start time, handled by
-//!   [`crate::session::run_contact`];
+//! * every contact fires a `Contact` event at its start time, handled by
+//!   [`crate::session::run_contact`]; the sorted trace is streamed through
+//!   the engine rather than copied into its queue, so a run that stops
+//!   early never touches the rest of the trace;
 //! * flow creation events inject origin copies at sources;
 //! * copy expiry is event-driven: whenever a node's earliest finite expiry
 //!   changes, an `ExpiryCheck` is (re)scheduled, so the time-weighted
@@ -324,11 +326,12 @@ pub fn simulate_probed<P: Probe>(
 
     let mut engine = Engine::with_capacity(
         trace.horizon(),
-        trace.len() + workload.flows().len() + faults.schedule().len(),
+        workload.flows().len() + faults.schedule().len(),
     );
-    // Churn transitions are scheduled first: equal-time events fire in
-    // scheduling order, so a node going down at t also kills a contact
-    // starting at t.
+    // Churn transitions are scheduled first and flows next; the streamed
+    // contacts fire after every pre-run event of their instant, so a node
+    // going down at t also kills a contact starting at t, and a flow
+    // created at t is there for it.
     for tr in faults.schedule() {
         let ev = if tr.up {
             Ev::NodeUp(tr.node)
@@ -339,9 +342,6 @@ pub fn simulate_probed<P: Probe>(
     }
     for (i, flow) in workload.flows().iter().enumerate() {
         engine.schedule(flow.created_at, Ev::CreateFlow(i as u32));
-    }
-    for (i, c) in trace.contacts().iter().enumerate() {
-        engine.schedule(c.start, Ev::Contact(i as u32));
     }
 
     let mut sim = Sim {
@@ -357,7 +357,12 @@ pub fn simulate_probed<P: Probe>(
         probe,
         faults,
     };
-    engine.run(&mut sim);
+    let contacts = trace
+        .contacts()
+        .iter()
+        .enumerate()
+        .map(|(i, c)| (c.start, Ev::Contact(i as u32)));
+    engine.run(contacts, &mut sim);
 
     let end = sim.metrics.completion_time().unwrap_or(trace.horizon());
     sim.metrics.finish(end)

@@ -190,7 +190,7 @@ impl ContactTrace {
 
     /// All node ids, `0..node_count`.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.node_count as u16).map(NodeId)
+        (0..self.node_count).map(|i| NodeId(i as u16))
     }
 
     /// The observation horizon (the paper's trace ends at 524 162 s; a run
@@ -367,6 +367,13 @@ mod tests {
         assert!(!c.involves(NodeId(2)));
         assert_eq!(c.peer_of(NodeId(1)), NodeId(4));
         assert_eq!(c.peer_of(NodeId(4)), NodeId(1));
+    }
+
+    #[test]
+    fn nodes_cover_the_full_16_bit_id_space() {
+        let trace = ContactTrace::new(1 << 16, t(100), Vec::new()).unwrap();
+        assert_eq!(trace.nodes().count(), 1 << 16);
+        assert_eq!(trace.nodes().last(), Some(NodeId(u16::MAX)));
     }
 
     #[test]

@@ -120,6 +120,11 @@ impl Default for RwpParams {
 impl RwpParams {
     fn validate(&self) {
         assert!(self.nodes >= 2);
+        assert!(
+            self.nodes <= usize::from(u16::MAX) + 1,
+            "{} nodes do not fit 16-bit node ids",
+            self.nodes
+        );
         assert!(self.area_side_m > 0.0);
         assert!(self.range_m > 0.0 && self.range_m < self.area_side_m);
         assert!(
@@ -183,36 +188,141 @@ impl RwpParams {
     }
 
     /// Generate the full contact trace.
+    ///
+    /// Every node pair is walked leg window by leg window, as
+    /// [`contact_intervals`] does, and produces exactly its intervals: the
+    /// walk only adds a bounding-box test that skips leg pairs too far
+    /// apart for the quadratic solve to find a crossing, and merges each
+    /// window into the pair's open interval as it comes (windows arrive
+    /// in time order, so this is [`merge_intervals`] without its sort).
     pub fn generate(&self, rng: &mut SimRng) -> ContactTrace {
         self.validate();
         let horizon_s = self.horizon.as_secs_f64();
-        let trajectories: Vec<Vec<Leg>> = (0..self.nodes)
-            .map(|_| self.trajectory(rng, horizon_s))
+        let paths: Vec<Path> = (0..self.nodes)
+            .map(|_| Path::new(self.trajectory(rng, horizon_s)))
             .collect();
 
         let mut contacts = Vec::new();
-        for a in 0..self.nodes {
-            for b in (a + 1)..self.nodes {
-                let intervals =
-                    contact_intervals(&trajectories[a], &trajectories[b], self.range_m, horizon_s);
-                for (start, end) in intervals {
+        for (a, pa) in paths.iter().enumerate() {
+            for (b, pb) in paths.iter().enumerate().skip(a + 1) {
+                pa.contact_intervals(pb, self.range_m, horizon_s, |start, end| {
                     // Sub-millisecond grazes round to empty; skip them.
                     let s = SimTime::from_secs_f64(start);
                     let e = SimTime::from_secs_f64(end.min(horizon_s));
                     if e > s {
                         contacts.push(Contact::new(NodeId(a as u16), NodeId(b as u16), s, e));
                     }
-                }
+                });
             }
         }
+        // One pair's intervals are disjoint, so `(start, a, b)` is unique
+        // and this equals `ContactTrace::new`'s stable sort, which then
+        // finds the list already ordered.
+        contacts.sort_unstable_by_key(|c| (c.start, c.a, c.b, c.end));
         ContactTrace::new(self.nodes, self.horizon, contacts)
             .expect("generator upholds trace invariants")
     }
 }
 
+/// One node's trajectory laid out for the pairwise walk: the leg end
+/// times the walk steps on, and each leg's bounding box, next to the legs.
+struct Path {
+    ends: Vec<f64>,
+    boxes: Vec<Bounds>,
+    legs: Vec<Leg>,
+}
+
+impl Path {
+    fn new(legs: Vec<Leg>) -> Path {
+        Path {
+            ends: legs.iter().map(|l| l.t1).collect(),
+            boxes: legs.iter().map(Bounds::of).collect(),
+            legs,
+        }
+    }
+
+    /// Pass [`contact_intervals`]`(self, other, range, horizon_s)` to
+    /// `emit`, interval by interval.
+    fn contact_intervals(
+        &self,
+        other: &Path,
+        range: f64,
+        horizon_s: f64,
+        mut emit: impl FnMut(f64, f64),
+    ) {
+        // Boxes farther apart than this keep the pair out of range with
+        // a margin far above the solve's rounding error.
+        let reach = range * (1.0 + 1e-9) + 1e-6;
+        let mut open: Option<(f64, f64)> = None;
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < self.ends.len() && j < other.ends.len() {
+            let (ea, eb) = (self.ends[i], other.ends[j]);
+            if self.boxes[i].near(&other.boxes[j], reach) {
+                let (la, lb) = (&self.legs[i], &other.legs[j]);
+                let lo = la.t0.max(lb.t0);
+                let hi = ea.min(eb).min(horizon_s);
+                if hi > lo {
+                    if let Some((s, e)) = in_range_window(la, lb, range, lo, hi) {
+                        open = match open {
+                            Some((os, oe)) if s <= oe + JOIN_EPS => Some((os, oe.max(e))),
+                            _ => {
+                                if let Some((os, oe)) = open {
+                                    emit(os, oe);
+                                }
+                                Some((s, e))
+                            }
+                        };
+                    }
+                }
+            }
+            // Advance whichever leg ends first.
+            let step_a = ea <= eb;
+            i += usize::from(step_a);
+            j += usize::from(!step_a);
+        }
+        if let Some((os, oe)) = open {
+            emit(os, oe);
+        }
+    }
+}
+
+/// The axis-aligned box a leg sweeps over `[t0, t1]`.
+#[derive(Clone, Copy)]
+struct Bounds {
+    min: Vec2,
+    max: Vec2,
+}
+
+impl Bounds {
+    fn of(leg: &Leg) -> Bounds {
+        // `position` rounds monotonically in `t`, so every position the
+        // solve evaluates lies between these two corners.
+        let (p, q) = (leg.p0, leg.position(leg.t1));
+        Bounds {
+            min: Vec2 {
+                x: p.x.min(q.x),
+                y: p.y.min(q.y),
+            },
+            max: Vec2 {
+                x: p.x.max(q.x),
+                y: p.y.max(q.y),
+            },
+        }
+    }
+
+    /// False when the boxes are more than `reach` apart along an axis.
+    #[inline]
+    fn near(&self, other: &Bounds, reach: f64) -> bool {
+        let gap_x = (self.min.x - other.max.x).max(other.min.x - self.max.x);
+        let gap_y = (self.min.y - other.max.y).max(other.min.y - self.max.y);
+        gap_x <= reach && gap_y <= reach
+    }
+}
+
 /// Sub-intervals of `[0, horizon]` during which two piecewise-linear
 /// trajectories stay within `range` of each other, found analytically and
-/// merged.
+/// merged. This is the straightforward walk [`RwpParams::generate`] must
+/// reproduce exactly.
 pub fn contact_intervals(ta: &[Leg], tb: &[Leg], range: f64, horizon_s: f64) -> Vec<(f64, f64)> {
     let mut raw: Vec<(f64, f64)> = Vec::new();
     let (mut i, mut j) = (0usize, 0usize);
@@ -268,11 +378,13 @@ fn in_range_window(la: &Leg, lb: &Leg, range: f64, lo: f64, hi: f64) -> Option<(
     }
 }
 
+/// Contact intervals closer than this (s) are joined.
+const JOIN_EPS: f64 = 1e-3;
+
 /// Merge touching/overlapping `(start, end)` intervals (input need not be
 /// sorted). Intervals separated by less than 1 ms are joined — that is the
 /// clock's resolution, so the simulator could not distinguish them anyway.
 pub fn merge_intervals(mut xs: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
-    const JOIN_EPS: f64 = 1e-3;
     xs.sort_by(|p, q| p.0.total_cmp(&q.0));
     let mut out: Vec<(f64, f64)> = Vec::with_capacity(xs.len());
     for (s, e) in xs {
@@ -287,6 +399,7 @@ pub fn merge_intervals(mut xs: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn leg(t0: f64, t1: f64, p0: (f64, f64), v: (f64, f64)) -> Leg {
         Leg {
@@ -371,6 +484,44 @@ mod tests {
         }
     }
 
+    /// FNV-1a 64 over every contact's `(a, b, start_ms, end_ms)`, little
+    /// endian, in trace order.
+    fn contacts_digest(trace: &ContactTrace) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for c in trace.contacts() {
+            let fields = [
+                u64::from(c.a.0),
+                u64::from(c.b.0),
+                c.start.as_millis(),
+                c.end.as_millis(),
+            ];
+            for byte in fields.iter().flat_map(|f| f.to_le_bytes()) {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn geometric_rwp_output_is_pinned() {
+        // Digests recorded from the straightforward all-pairs generator;
+        // any change to the contact kernel must reproduce them exactly.
+        let params = RwpParams {
+            nodes: 200,
+            horizon: SimTime::from_secs(20_000),
+            ..RwpParams::default()
+        };
+        for (seed, len, digest) in [
+            (1u64, 126_494usize, 0xcea7_7763_6832_9510u64),
+            (2, 125_832, 0xf4b9_08f3_eed7_a832),
+        ] {
+            let trace = params.generate(&mut SimRng::new(seed));
+            assert_eq!(trace.len(), len, "seed {seed}");
+            assert_eq!(contacts_digest(&trace), digest, "seed {seed}");
+        }
+    }
+
     #[test]
     fn rwp_is_deterministic() {
         let params = RwpParams {
@@ -411,6 +562,82 @@ mod tests {
                 assert!((-1e-6..=params.area_side_m + 1e-6).contains(&p.x));
                 assert!((-1e-6..=params.area_side_m + 1e-6).contains(&p.y));
             }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit 16-bit node ids")]
+    fn node_count_beyond_16_bit_ids_is_rejected() {
+        // Rejected before any trajectory is drawn, so nothing large is
+        // allocated.
+        let params = RwpParams {
+            nodes: usize::from(u16::MAX) + 2,
+            ..RwpParams::default()
+        };
+        params.generate(&mut SimRng::new(0));
+    }
+
+    /// The straightforward generator: the same trajectories, every pair
+    /// walked through `contact_intervals`, sorted by `ContactTrace::new`.
+    fn reference_generate(params: &RwpParams, rng: &mut SimRng) -> ContactTrace {
+        let horizon_s = params.horizon.as_secs_f64();
+        let trajectories: Vec<Vec<Leg>> = (0..params.nodes)
+            .map(|_| params.trajectory(rng, horizon_s))
+            .collect();
+        let mut contacts = Vec::new();
+        for a in 0..params.nodes {
+            for b in (a + 1)..params.nodes {
+                let intervals = contact_intervals(
+                    &trajectories[a],
+                    &trajectories[b],
+                    params.range_m,
+                    horizon_s,
+                );
+                for (start, end) in intervals {
+                    let s = SimTime::from_secs_f64(start);
+                    let e = SimTime::from_secs_f64(end.min(horizon_s));
+                    if e > s {
+                        contacts.push(Contact::new(NodeId(a as u16), NodeId(b as u16), s, e));
+                    }
+                }
+            }
+        }
+        ContactTrace::new(params.nodes, params.horizon, contacts).unwrap()
+    }
+
+    proptest! {
+        /// The generator emits exactly the reference walk's contacts, in
+        /// the same order, on dense, sparse, pause-free and
+        /// near-full-range scenarios.
+        #[test]
+        fn generator_equals_the_reference_walk(
+            seed in any::<u64>(),
+            nodes in 2usize..60,
+            area_side_m in 50.0f64..2_000.0,
+            range_frac in prop_oneof![
+                Just(0.999),
+                0.01f64..0.999,
+            ],
+            speed_min_mps in 0.1f64..10.0,
+            speed_span in 0.0f64..20.0,
+            pause_max_s in prop_oneof![
+                Just(0.0),
+                0.0f64..2_000.0,
+            ],
+            horizon_s in 1u64..5_000,
+        ) {
+            let params = RwpParams {
+                nodes,
+                horizon: SimTime::from_secs(horizon_s),
+                area_side_m,
+                range_m: area_side_m * range_frac,
+                speed_min_mps,
+                speed_max_mps: speed_min_mps + speed_span,
+                pause_max_s,
+            };
+            let fast = params.generate(&mut SimRng::new(seed));
+            let reference = reference_generate(&params, &mut SimRng::new(seed));
+            prop_assert_eq!(fast.contacts(), reference.contacts());
         }
     }
 

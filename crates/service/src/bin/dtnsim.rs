@@ -132,16 +132,16 @@ use std::time::Instant;
 /// Where contacts come from: a built-in scenario or a trace file.
 enum Source {
     Builtin(Mobility),
-    File(std::path::PathBuf, ContactTrace),
+    File(std::path::PathBuf, Arc<ContactTrace>),
 }
 
 impl Source {
     /// Build the trace for one replication, deduplicated through `cache`
-    /// for the built-in scenarios (a file trace is already in memory).
+    /// for the built-in scenarios (a file trace is loaded once and shared).
     fn build(&self, seed: u64, replication: u64, cache: &TraceCache) -> Arc<ContactTrace> {
         match self {
             Source::Builtin(m) => m.build_cached(seed, replication, cache),
-            Source::File(_, trace) => Arc::new(trace.clone()),
+            Source::File(_, trace) => Arc::clone(trace),
         }
     }
 
@@ -167,7 +167,7 @@ fn parse_mobility(spec: &str) -> Result<Source, String> {
             let path = std::path::PathBuf::from(spec);
             if path.exists() {
                 let trace = read_trace_file(&path).map_err(|e| format!("loading {spec}: {e}"))?;
-                Ok(Source::File(path, trace))
+                Ok(Source::File(path, Arc::new(trace)))
             } else {
                 Err(format!("{parse_err}, or a trace file path"))
             }

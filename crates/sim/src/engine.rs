@@ -8,7 +8,9 @@
 //! * the clock never moves backwards (scheduling in the past panics in debug
 //!   builds and clamps to "now" in release builds);
 //! * events at equal times fire in scheduling order (see
-//!   [`crate::events::EventQueue`]);
+//!   [`crate::events::EventQueue`]), with a run's pre-sorted event stream
+//!   placed between the pre-run events and the run-time ones (see
+//!   [`Engine::run`]);
 //! * the run stops at the configured horizon, after a configured event
 //!   budget, or when the handler requests an early stop — whichever comes
 //!   first.
@@ -116,7 +118,7 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Pre-reserve queue capacity (e.g. the trace length).
+    /// Pre-reserve queue capacity (e.g. the number of pre-run events).
     pub fn with_capacity(horizon: SimTime, capacity: usize) -> Self {
         Engine {
             queue: EventQueue::with_capacity(capacity),
@@ -144,7 +146,8 @@ impl<E> Engine<E> {
         self.events_processed
     }
 
-    /// Number of still-pending events.
+    /// Number of still-pending scheduled events (a run's stream is not
+    /// counted).
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
@@ -158,18 +161,47 @@ impl<E> Engine<E> {
 
     /// Drive the simulation to completion, dispatching every event to
     /// `handler`.
-    pub fn run<H: Handler<E>>(&mut self, handler: &mut H) -> StopReason {
+    ///
+    /// `stream` supplies a pre-sorted (non-decreasing time) sequence of
+    /// events that never enters the queue; pass `std::iter::empty()` when
+    /// there is none. The epidemic simulator streams its contact trace
+    /// this way instead of copying it into the queue. Equal-time ties fire
+    /// as if the stream had been scheduled between the pre-run events and
+    /// the first run-time one: events scheduled before the run (the
+    /// queue's sealed batch) come first, then the stream in its own order,
+    /// then events scheduled while the run is going.
+    pub fn run<S, H>(&mut self, stream: S, handler: &mut H) -> StopReason
+    where
+        S: IntoIterator<Item = (SimTime, E)>,
+        H: Handler<E>,
+    {
+        let mut stream = stream.into_iter().peekable();
         loop {
-            match self.queue.peek_time() {
-                None => return StopReason::Exhausted,
-                Some(t) if t > self.horizon => return StopReason::Horizon,
-                Some(_) => {}
+            let (next, from_stream) = match (stream.peek(), self.queue.peek_tier()) {
+                (None, None) => return StopReason::Exhausted,
+                (Some(&(ts, _)), None) => (ts, true),
+                (None, Some((tq, _))) => (tq, false),
+                (Some(&(ts, _)), Some((tq, pre_run))) => {
+                    if ts < tq || (ts == tq && !pre_run) {
+                        (ts, true)
+                    } else {
+                        (tq, false)
+                    }
+                }
+            };
+            if next > self.horizon {
+                return StopReason::Horizon;
             }
             if self.events_processed >= self.event_budget {
                 return StopReason::Budget;
             }
-            let (time, event) = self.queue.pop().expect("peeked non-empty");
-            debug_assert!(time >= self.now, "event queue went backwards");
+            let (time, event) = if from_stream {
+                stream.next()
+            } else {
+                self.queue.pop()
+            }
+            .expect("peeked non-empty");
+            debug_assert!(time >= self.now, "event stream went backwards");
             self.now = time;
             self.events_processed += 1;
             let mut sched = Scheduler {
@@ -198,10 +230,13 @@ mod tests {
         engine.schedule(t(10), 1u32);
         engine.schedule(t(5), 0u32);
         let mut order = Vec::new();
-        let reason = engine.run(&mut |time: SimTime, e: u32, _: &mut Scheduler<'_, u32>| {
-            order.push((time, e));
-            Flow::Continue
-        });
+        let reason = engine.run(
+            std::iter::empty(),
+            &mut |time: SimTime, e: u32, _: &mut Scheduler<'_, u32>| {
+                order.push((time, e));
+                Flow::Continue
+            },
+        );
         assert_eq!(reason, StopReason::Exhausted);
         assert_eq!(order, vec![(t(5), 0), (t(10), 1)]);
         assert_eq!(engine.now(), t(10));
@@ -213,13 +248,16 @@ mod tests {
         let mut engine = Engine::new(t(1_000));
         engine.schedule(t(0), 0u32);
         let mut fired = Vec::new();
-        engine.run(&mut |_t: SimTime, e: u32, sched: &mut Scheduler<'_, u32>| {
-            fired.push(e);
-            if e < 5 {
-                sched.schedule_in(SimDuration::from_secs(10), e + 1);
-            }
-            Flow::Continue
-        });
+        engine.run(
+            std::iter::empty(),
+            &mut |_t: SimTime, e: u32, sched: &mut Scheduler<'_, u32>| {
+                fired.push(e);
+                if e < 5 {
+                    sched.schedule_in(SimDuration::from_secs(10), e + 1);
+                }
+                Flow::Continue
+            },
+        );
         assert_eq!(fired, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(engine.now(), t(50));
     }
@@ -231,10 +269,13 @@ mod tests {
         engine.schedule(t(20), 2u8);
         engine.schedule(t(21), 3u8);
         let mut fired = Vec::new();
-        let reason = engine.run(&mut |_t: SimTime, e: u8, _: &mut Scheduler<'_, u8>| {
-            fired.push(e);
-            Flow::Continue
-        });
+        let reason = engine.run(
+            std::iter::empty(),
+            &mut |_t: SimTime, e: u8, _: &mut Scheduler<'_, u8>| {
+                fired.push(e);
+                Flow::Continue
+            },
+        );
         assert_eq!(reason, StopReason::Horizon);
         assert_eq!(fired, vec![1, 2]);
         assert_eq!(engine.pending(), 1);
@@ -247,17 +288,67 @@ mod tests {
             engine.schedule(t(i), i);
         }
         let mut count = 0;
-        let reason = engine.run(&mut |_t: SimTime, e: u64, _: &mut Scheduler<'_, u64>| {
-            count += 1;
-            if e == 3 {
-                Flow::Stop
-            } else {
-                Flow::Continue
-            }
-        });
+        let reason = engine.run(
+            std::iter::empty(),
+            &mut |_t: SimTime, e: u64, _: &mut Scheduler<'_, u64>| {
+                count += 1;
+                if e == 3 {
+                    Flow::Stop
+                } else {
+                    Flow::Continue
+                }
+            },
+        );
         assert_eq!(reason, StopReason::Handler);
         assert_eq!(count, 4);
         assert_eq!(engine.pending(), 6);
+    }
+
+    #[test]
+    fn stream_ties_fall_between_pre_run_and_run_time_events() {
+        let mut engine = Engine::new(t(100));
+        engine.schedule(t(5), "pre@5");
+        engine.schedule(t(0), "pre@0");
+        let stream = [(t(0), "stream@0"), (t(5), "stream@5a"), (t(5), "stream@5b")];
+        let mut fired = Vec::new();
+        let reason = engine.run(
+            stream,
+            &mut |_t: SimTime, e: &'static str, sched: &mut Scheduler<'_, &'static str>| {
+                fired.push(e);
+                if e == "stream@0" {
+                    sched.schedule_at(t(5), "run@5");
+                }
+                Flow::Continue
+            },
+        );
+        assert_eq!(reason, StopReason::Exhausted);
+        assert_eq!(
+            fired,
+            [
+                "pre@0",
+                "stream@0",
+                "pre@5",
+                "stream@5a",
+                "stream@5b",
+                "run@5"
+            ]
+        );
+    }
+
+    #[test]
+    fn streamed_events_past_the_horizon_never_fire() {
+        let mut engine = Engine::new(t(10));
+        let stream = [(t(10), 1u8), (t(11), 2u8)];
+        let mut fired = Vec::new();
+        let reason = engine.run(
+            stream,
+            &mut |_t: SimTime, e: u8, _: &mut Scheduler<'_, u8>| {
+                fired.push(e);
+                Flow::Continue
+            },
+        );
+        assert_eq!(reason, StopReason::Horizon);
+        assert_eq!(fired, vec![1]);
     }
 
     #[test]
@@ -265,11 +356,14 @@ mod tests {
         let mut engine = Engine::new(SimTime::MAX);
         engine.set_event_budget(1_000);
         engine.schedule(t(0), ());
-        let reason = engine.run(&mut |_t: SimTime, (): (), sched: &mut Scheduler<'_, ()>| {
-            // Malicious model: reschedules itself forever at the same time.
-            sched.schedule_in(SimDuration::ZERO, ());
-            Flow::Continue
-        });
+        let reason = engine.run(
+            std::iter::empty(),
+            &mut |_t: SimTime, (): (), sched: &mut Scheduler<'_, ()>| {
+                // Malicious model: reschedules itself forever at the same time.
+                sched.schedule_in(SimDuration::ZERO, ());
+                Flow::Continue
+            },
+        );
         assert_eq!(reason, StopReason::Budget);
         assert_eq!(engine.events_processed(), 1_000);
     }
@@ -280,9 +374,12 @@ mod tests {
     fn scheduling_in_the_past_panics_in_debug() {
         let mut engine = Engine::new(t(100));
         engine.schedule(t(50), ());
-        engine.run(&mut |_t: SimTime, (): (), sched: &mut Scheduler<'_, ()>| {
-            sched.schedule_at(t(10), ());
-            Flow::Continue
-        });
+        engine.run(
+            std::iter::empty(),
+            &mut |_t: SimTime, (): (), sched: &mut Scheduler<'_, ()>| {
+                sched.schedule_at(t(10), ());
+                Flow::Continue
+            },
+        );
     }
 }

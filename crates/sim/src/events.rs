@@ -10,12 +10,13 @@
 //!
 //! # Two-tier layout
 //!
-//! DES workloads here are overwhelmingly *static*: the whole contact trace
-//! and every flow arrival are scheduled before the first event fires, and
-//! only a trickle of expiry checks is scheduled at run time. A binary heap
-//! makes every one of those static events pay `O(log n)` twice (push and
-//! pop) over pointer-chasing sift paths; profiling showed `BinaryHeap::pop`
-//! alone eating ~40% of a sweep. So the queue is split:
+//! DES workloads here are overwhelmingly *static*: every flow arrival and
+//! churn transition is scheduled before the first event fires (the sorted
+//! contact trace bypasses the queue altogether, see
+//! [`crate::engine::Engine::run`]), and only a trickle of expiry checks is
+//! scheduled at run time. A binary heap makes every static event pay
+//! `O(log n)` twice (push and pop) over pointer-chasing sift paths, so the
+//! queue is split:
 //!
 //! * everything scheduled before the first pop lands in a plain vector that
 //!   is sorted **once** (descending, so earliest pops from the back in
@@ -94,8 +95,7 @@ impl<E> EventQueue<E> {
     }
 
     /// An empty queue with pre-reserved capacity (use when the number of
-    /// trace events is known up front to avoid re-allocation in the hot
-    /// loop).
+    /// pre-run events is known up front to avoid re-allocation).
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             batch: Vec::with_capacity(capacity),
@@ -121,20 +121,11 @@ impl<E> EventQueue<E> {
     /// `schedule` calls go to the overflow heap.
     fn seal(&mut self) {
         if !self.sealed {
-            // The common shape is an already time-ordered batch (flow
-            // arrivals, then the trace's sorted contacts): one O(n) check
-            // plus a reverse beats re-discovering sortedness inside the
-            // sort. Keys are unique (seq is), so an unstable sort is exact.
-            let ascending = self
-                .batch
-                .windows(2)
-                .all(|w| (w[0].time, w[0].seq) <= (w[1].time, w[1].seq));
-            if ascending {
-                self.batch.reverse();
-            } else {
-                self.batch
-                    .sort_unstable_by_key(|s| std::cmp::Reverse((s.time, s.seq)));
-            }
+            // Keys are unique (seq is), so an unstable sort is exact; an
+            // already time-ordered batch is one descending run under this
+            // key, which the sort finds and reverses in O(n).
+            self.batch
+                .sort_unstable_by_key(|s| std::cmp::Reverse((s.time, s.seq)));
             self.sealed = true;
         }
     }
@@ -162,11 +153,18 @@ impl<E> EventQueue<E> {
 
     /// The firing time of the earliest pending event.
     pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.peek_tier().map(|(time, _)| time)
+    }
+
+    /// The firing time of the earliest pending event, and whether it was
+    /// scheduled before the first pop (the sealed batch) rather than at
+    /// run time. The engine merges its event stream between the two.
+    pub(crate) fn peek_tier(&mut self) -> Option<(SimTime, bool)> {
         self.seal();
         if self.batch_first() {
-            self.batch.last().map(|s| s.time)
+            self.batch.last().map(|s| (s.time, true))
         } else {
-            self.overflow.peek().map(|s| s.time)
+            self.overflow.peek().map(|s| (s.time, false))
         }
     }
 

@@ -4,7 +4,7 @@ use dtn_sim::{
     events::EventQueue,
     par_map_indexed,
     stats::{mean, Histogram, TimeWeighted, Welford},
-    SimDuration, SimRng, SimTime, Threads,
+    Engine, Flow, Scheduler, SimDuration, SimRng, SimTime, Threads,
 };
 use proptest::prelude::*;
 
@@ -25,7 +25,113 @@ fn bucket_fingerprint(h: &Histogram) -> Vec<(u64, u64, u64)> {
         .collect()
 }
 
+/// A test event: an id and its follow-up generation.
+type Ev = (u64, u8);
+
+/// The follow-ups a handler schedules when `ev` fires at `now`, derived
+/// from the event alone so an engine run and a queue replay agree.
+/// Delays of 0–2 s on whole-second times make equal-time ties common.
+fn follow_ups(now: SimTime, (id, depth): Ev) -> Vec<(SimTime, Ev)> {
+    if depth >= 2 {
+        return Vec::new();
+    }
+    (0..id % 3)
+        .map(|k| {
+            let delay = SimDuration::from_secs((id + k) % 3);
+            (now + delay, (id * 3 + k + 1, depth + 1))
+        })
+        .collect()
+}
+
+/// What the engine fires for pre-run events `pre`, the sorted `stream`,
+/// and handler follow-ups, stopping at `horizon` or after `stop_after`
+/// events.
+fn fired_by_engine(
+    pre: &[(SimTime, Ev)],
+    stream: &[(SimTime, Ev)],
+    horizon: SimTime,
+    stop_after: usize,
+) -> Vec<(SimTime, Ev)> {
+    let mut engine = Engine::new(horizon);
+    for &(at, ev) in pre {
+        engine.schedule(at, ev);
+    }
+    let mut fired = Vec::new();
+    engine.run(stream.iter().copied(), &mut |now: SimTime,
+                                             ev: Ev,
+                                             sched: &mut Scheduler<
+        '_,
+        Ev,
+    >| {
+        fired.push((now, ev));
+        for (at, next) in follow_ups(now, ev) {
+            sched.schedule_at(at, next);
+        }
+        if fired.len() == stop_after {
+            Flow::Stop
+        } else {
+            Flow::Continue
+        }
+    });
+    fired
+}
+
+/// The same run with the stream scheduled into one `EventQueue` after the
+/// pre-run events, as the simulator did before it streamed its trace.
+fn fired_by_one_queue(
+    pre: &[(SimTime, Ev)],
+    stream: &[(SimTime, Ev)],
+    horizon: SimTime,
+    stop_after: usize,
+) -> Vec<(SimTime, Ev)> {
+    let mut queue = EventQueue::new();
+    for &(at, ev) in pre.iter().chain(stream) {
+        queue.schedule(at, ev);
+    }
+    let mut fired = Vec::new();
+    while queue.peek_time().is_some_and(|t| t <= horizon) {
+        let (now, ev) = queue.pop().expect("peeked");
+        fired.push((now, ev));
+        for (at, next) in follow_ups(now, ev) {
+            queue.schedule(at, next);
+        }
+        if fired.len() == stop_after {
+            break;
+        }
+    }
+    fired
+}
+
 proptest! {
+    /// Streaming a sorted event sequence through the engine fires exactly
+    /// what scheduling it into the queue between the pre-run and the
+    /// run-time events would: same events, same times, same tie order,
+    /// same horizon cut-off and early stop.
+    #[test]
+    fn engine_stream_merge_matches_one_queue(
+        pre_times in prop::collection::vec(0u64..20, 0..30),
+        stream_times in prop::collection::vec(0u64..20, 0..60),
+        horizon in 0u64..25,
+        stop_after in 1usize..200,
+    ) {
+        let pre: Vec<(SimTime, Ev)> = pre_times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (SimTime::from_secs(t), (i as u64, 0)))
+            .collect();
+        let mut stream: Vec<(SimTime, Ev)> = stream_times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (SimTime::from_secs(t), (10_000 + i as u64, 0)))
+            .collect();
+        stream.sort_by_key(|&(t, _)| t);
+        let horizon = SimTime::from_secs(horizon);
+        prop_assert_eq!(
+            fired_by_engine(&pre, &stream, horizon, stop_after),
+            fired_by_one_queue(&pre, &stream, horizon, stop_after)
+        );
+    }
+
     /// Popping the queue yields events in (time, insertion) order for any
     /// schedule.
     #[test]
