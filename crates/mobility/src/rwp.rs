@@ -263,15 +263,14 @@ impl Path {
                 let hi = ea.min(eb).min(horizon_s);
                 if hi > lo {
                     if let Some((s, e)) = in_range_window(la, lb, range, lo, hi) {
-                        open = match open {
-                            Some((os, oe)) if s <= oe + JOIN_EPS => Some((os, oe.max(e))),
+                        match &mut open {
+                            Some((_, oe)) if s <= *oe + JOIN_EPS => *oe = oe.max(e),
                             _ => {
-                                if let Some((os, oe)) = open {
+                                if let Some((os, oe)) = open.replace((s, e)) {
                                     emit(os, oe);
                                 }
-                                Some((s, e))
                             }
-                        };
+                        }
                     }
                 }
             }
